@@ -6,10 +6,12 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/interval_index.h"
 #include "storage/block_device.h"
+#include "storage/coding.h"
 #include "storage/pager.h"
 #include "workload/datasets.h"
 
@@ -117,6 +119,27 @@ void BM_PagerAllocateFree(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PagerAllocateFree);
+
+// CRC32C bytes/s over a buffer whose first `live` percent is random and
+// the rest zero — the shape of a node extent, entries first, zeroed tail.
+void BM_Crc32c(benchmark::State& state) {
+  const size_t bytes = static_cast<size_t>(state.range(0));
+  const size_t live = bytes * static_cast<size_t>(state.range(1)) / 100;
+  std::vector<uint8_t> buf(bytes, 0);
+  uint32_t x = 17;
+  for (size_t i = 0; i < live; ++i) {
+    x = x * 1103515245u + 12345u;
+    buf[i] = static_cast<uint8_t>(x >> 16);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(storage::Crc32c(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
+  state.SetLabel(std::to_string(state.range(1)) + "% live");
+}
+BENCHMARK(BM_Crc32c)->ArgsProduct({{1 << 10, 8 << 10, 64 << 10},
+                                   {100, 50, 10}});
 
 }  // namespace
 

@@ -693,6 +693,13 @@ Status RTree::Delete(const Rect& rect, TupleId tid) {
         latch_table_.Acquire(seen.block, LatchOrigin::Standalone());
     TrackedMutexLock lock(&meta_mu_, LockClass::kTreeMeta);
     if (root_.block != seen.block) continue;  // Root moved; retry.
+    if (OrphanInFlight(rect, tid)) {
+      // A peer Delete condensed this record's leaf and has not reinserted
+      // it yet. Its reinsertion needs the root latch: drop it and wait.
+      guard.Release();
+      while (OrphanInFlight(rect, tid)) orphan_landed_.Wait(&meta_mu_);
+      continue;
+    }
     root = root_;
     region = root_region_;
     root_guard = std::move(guard);
@@ -759,14 +766,33 @@ Status RTree::Delete(const Rect& rect, TupleId tid) {
   BumpTreeStat(stats_.deletes);
 
   // Reinsert entries orphaned by condensed leaves. These are fresh root
-  // descents; drop the root latch first so they cannot self-deadlock.
-  root_guard.Release();
-  for (const auto& [r, t] : orphans) {
-    InsertContext ctx;
-    SEGIDX_RETURN_IF_ERROR(InsertOne(r, t, &ctx));
-    SEGIDX_CHECK(ctx.reinserts.empty());  // Plain R-Tree never re-queues.
+  // descents; drop the root latch first so they cannot self-deadlock, but
+  // publish the orphans before it so peer Deletes wait for them to land.
+  {
+    TrackedMutexLock lock(&meta_mu_, LockClass::kTreeMeta);
+    orphans_in_flight_.insert(orphans_in_flight_.end(), orphans.begin(),
+                              orphans.end());
   }
-  return Status::OK();
+  root_guard.Release();
+  Status status;
+  for (const auto& orphan : orphans) {
+    if (status.ok()) {
+      InsertContext ctx;
+      status = InsertOne(orphan.first, orphan.second, &ctx);
+      SEGIDX_CHECK(ctx.reinserts.empty());  // Plain R-Tree never re-queues.
+    }
+    // On failure the rest are unpublished too, so no waiter hangs.
+    TrackedMutexLock lock(&meta_mu_, LockClass::kTreeMeta);
+    orphans_in_flight_.erase(std::find(orphans_in_flight_.begin(),
+                                       orphans_in_flight_.end(), orphan));
+    orphan_landed_.NotifyAll();
+  }
+  return status;
+}
+
+bool RTree::OrphanInFlight(const Rect& rect, TupleId tid) const {
+  return std::find(orphans_in_flight_.begin(), orphans_in_flight_.end(),
+                   std::make_pair(rect, tid)) != orphans_in_flight_.end();
 }
 
 Result<bool> RTree::DeleteRecursive(

@@ -494,6 +494,10 @@ class RTree {
                                Rect* region_out, bool* underflow_out,
                                uint64_t* accesses);
 
+  // Whether (rect, tid) is in orphans_in_flight_.
+  bool OrphanInFlight(const Rect& rect, TupleId tid) const
+      REQUIRES(meta_mu_);
+
   // Invariant-check recursion.
   Status CheckNodeInvariants(storage::PageId id, const Rect& region,
                              bool is_root, int expected_level,
@@ -530,6 +534,15 @@ class RTree {
   common::Mutex leaf_mu_;
   std::unordered_map<uint32_t, uint64_t> leaf_mod_counts_
       GUARDED_BY(leaf_mu_);
+
+  // Records a Delete's CondenseTree took out of the tree and has not yet
+  // reinserted. A peer Delete of one of them waits on orphan_landed_ in
+  // the root protocol instead of descending and missing it. Entries are
+  // added under the owner's root latch, so a Delete holding the root
+  // latch sees every record either in the tree or in this list.
+  std::vector<std::pair<Rect, TupleId>> orphans_in_flight_
+      GUARDED_BY(meta_mu_);
+  common::CondVar orphan_landed_;
 
   // Exclusive-phase operations only; see CountNodeAccess().
   uint64_t op_node_accesses_ = 0;
