@@ -120,6 +120,43 @@ void BM_PagerAllocateFree(benchmark::State& state) {
 }
 BENCHMARK(BM_PagerAllocateFree);
 
+// One checkpoint over a pool of `frames` cached one-block pages of which
+// `dirty` were just rewritten, on the in-memory device. Its cost should
+// follow the dirty pages, not the cached frames. Every checkpoint reserves
+// its journal run past the file's end, so the device grows by about
+// `dirty` KiB per iteration; the iteration count is fixed to bound that.
+void BM_PagerCheckpoint(benchmark::State& state) {
+  const int frames = static_cast<int>(state.range(0));
+  const int dirty = static_cast<int>(state.range(1));
+  storage::PagerOptions options;
+  options.buffer_pool_bytes = static_cast<size_t>(frames) * 2 * 1024;
+  auto pager = storage::Pager::Create(
+                   std::make_unique<storage::MemoryBlockDevice>(), options)
+                   .value();
+  std::vector<storage::PageId> ids;
+  for (int i = 0; i < frames; ++i) ids.push_back(pager->Allocate(0)->id());
+  if (!pager->Checkpoint().ok()) state.SkipWithError("setup checkpoint");
+  const uint64_t journaled = pager->stats().journaled_pages;
+  size_t next = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < dirty; ++i) {
+      auto page = pager->Fetch(ids[next++ % ids.size()]).value();
+      ++page.data()[0];
+      page.MarkDirty();
+    }
+    if (!pager->Checkpoint().ok()) state.SkipWithError("checkpoint");
+  }
+  state.counters["journaled_pages"] = benchmark::Counter(
+      static_cast<double>(pager->stats().journaled_pages - journaled),
+      benchmark::Counter::kAvgIterations);
+  state.SetLabel("frames=" + std::to_string(frames) +
+                 " dirty=" + std::to_string(dirty));
+}
+BENCHMARK(BM_PagerCheckpoint)
+    ->ArgsProduct({{256, 4096}, {1, 64}})
+    ->Iterations(500)
+    ->Unit(benchmark::kMicrosecond);
+
 // CRC32C bytes/s over a buffer whose first `live` percent is random and
 // the rest zero — the shape of a node extent, entries first, zeroed tail.
 void BM_Crc32c(benchmark::State& state) {

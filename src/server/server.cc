@@ -966,7 +966,8 @@ std::string Server::BuildStatsJson() {
       "\"index_bytes\": %llu}, "
       "\"storage\": {\"logical_reads\": %llu, \"cache_hits\": %llu, "
       "\"physical_reads\": %llu, \"physical_writes\": %llu, "
-      "\"checkpoints\": %llu, \"commit_requests\": %llu, "
+      "\"checkpoints\": %llu, \"journaled_pages\": %llu, "
+      "\"journal_bytes\": %llu, \"commit_requests\": %llu, "
       "\"commit_batches\": %llu, \"degraded\": %llu, "
       "\"pages_quarantined\": %llu, \"quarantine_hits\": %llu}, "
       "\"latch\": {\"gate_read_enters\": %llu, \"gate_write_enters\": %llu, "
@@ -1000,6 +1001,8 @@ std::string Server::BuildStatsJson() {
       static_cast<unsigned long long>(st.physical_reads),
       static_cast<unsigned long long>(st.physical_writes),
       static_cast<unsigned long long>(st.checkpoints),
+      static_cast<unsigned long long>(st.journaled_pages),
+      static_cast<unsigned long long>(st.journal_bytes),
       static_cast<unsigned long long>(st.commit_requests),
       static_cast<unsigned long long>(st.commit_batches),
       static_cast<unsigned long long>(st.degraded),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -546,6 +547,7 @@ PageHandle Pager::InstallFrame(uint32_t block, uint8_t size_class,
   frame.bytes = std::move(bytes);
   frame.size_class = size_class;
   frame.dirty = dirty;
+  if (dirty) part.dirty.insert(block);
   frame.pin_count = 1;
   frame.in_lru = false;
   part.cached_bytes += frame.bytes.size();
@@ -664,6 +666,7 @@ Status Pager::Free(PageId id) {
         return FailedPreconditionError("cannot free a pinned page");
       }
       if (frame.in_lru) part.lru.erase(frame.lru_pos);
+      if (frame.dirty) part.dirty.erase(id.block);
       part.cached_bytes -= frame.bytes.size();
       part.frames.erase(it);
     }
@@ -799,34 +802,31 @@ Status Pager::Checkpoint() {
   SEGIDX_RETURN_IF_ERROR(CheckMutable());
   const uint32_t bbs = options_.base_block_size;
 
-  struct Entry {
-    uint32_t block;
-    std::vector<uint8_t> bytes;
-  };
-
-  // Phase 1: snapshot every dirty pooled page. No writer runs concurrently
-  // (single-writer contract), so the copies stay current for the rest of
-  // the checkpoint; readers may still evict these frames, but a spill
-  // carries the same bytes.
-  std::vector<Entry> page_entries;
-  std::vector<uint32_t> snapshotted;
-  std::unordered_set<uint32_t> dirty_set;
+  // Phase 1: list the dirty pooled pages from each partition's dirty set,
+  // so the work follows what changed rather than the pool size. No writer
+  // runs concurrently (single-writer contract), so the list stays complete
+  // for the rest of the checkpoint; readers may still evict these frames,
+  // but a spill carries the same bytes (CopyJournalPage reads it there).
+  std::vector<JournalPage> pages;
   for (uint32_t p = 0; p < num_partitions_; ++p) {
     Partition& part = partitions_[p];
     TrackedMutexLock lock(&part.mu, LockClass::kPagerPartition);
-    for (auto& [block, frame] : part.frames) {
-      if (!frame.dirty) continue;
-      page_entries.push_back({block, frame.bytes});
-      snapshotted.push_back(block);
-      dirty_set.insert(block);
+    for (uint32_t block : part.dirty) {
+      auto it = part.frames.find(block);
+      SEGIDX_CHECK(it != part.frames.end());
+      pages.push_back({block, it->second.size_class});
     }
   }
+  const auto by_home = [](const JournalPage& a, const JournalPage& b) {
+    return a.home < b.home;
+  };
+  std::sort(pages.begin(), pages.end(), by_home);
+  const size_t dirty_count = pages.size();
 
-  // Phase 2 (alloc latch): absorb spilled pages, thread this epoch's frees
+  // Phase 2 (alloc latch): add spilled pages, thread this epoch's frees
   // into the new free lists, and reserve the journal run at the top of the
   // allocated range. Any spill racing in after this point lands above
   // `slot.next_block` and is invisible to the durable state.
-  std::vector<Entry> spill_entries;
   std::vector<std::pair<uint32_t, uint32_t>> links;  // block -> next free.
   std::vector<PageId> scraps;
   std::unordered_set<uint32_t> scrapped_blocks;
@@ -835,12 +835,10 @@ Status Pager::Checkpoint() {
   {
     TrackedMutexLock lock(&alloc_mu_, LockClass::kPagerAlloc);
     for (const auto& [home, spill] : redirects_) {
-      if (dirty_set.count(home) == 0) {
+      if (!std::binary_search(pages.begin(), pages.begin() + dirty_count,
+                              JournalPage{home}, by_home)) {
         // The spill extent holds the only current copy; journal it home.
-        std::vector<uint8_t> bytes(ExtentBytes(spill.size_class));
-        SEGIDX_RETURN_IF_ERROR(device_->Read(BlockOffset(spill.block),
-                                             bytes.size(), bytes.data()));
-        spill_entries.push_back({home, std::move(bytes)});
+        pages.push_back({home, spill.size_class, spill.block});
       }
       scraps.push_back({spill.block, spill.size_class});
       scrapped_blocks.insert(spill.block);
@@ -871,11 +869,8 @@ Status Pager::Checkpoint() {
         slot.free_heads[sc] = b;
       }
     }
-    uint64_t payload = 0;
-    for (const Entry& e : page_entries) payload += 8 + e.bytes.size();
-    for (const Entry& e : spill_entries) payload += 8 + e.bytes.size();
-    payload += links.size() * 12;
-    payload += scraps.size() * 8;
+    uint64_t payload = links.size() * 12 + scraps.size() * 8;
+    for (const JournalPage& e : pages) payload += 8 + ExtentBytes(e.size_class);
     if (payload > 0) {
       const uint64_t total = kJournalHeader + payload;
       slot.log_blocks = static_cast<uint32_t>((total + bbs - 1) / bbs);
@@ -893,35 +888,43 @@ Status Pager::Checkpoint() {
     slot.prev_log_blocks = active_log_blocks_;
     slot_index = active_slot_ ^ 1;
   }
+  std::sort(pages.begin(), pages.end(), by_home);
 
-  // Phase 3: write and sync the journal. Until the slot below lands, these
-  // blocks are unreferenced — a crash here costs nothing.
-  if (slot.log_blocks > 0) {
-    std::vector<uint8_t> run(static_cast<size_t>(slot.log_blocks) * bbs, 0);
-    EncodeU64(run.data(), kJournalMagic);
-    EncodeU64(run.data() + 8, slot.epoch);
-    EncodeU32(run.data() + 16,
-              static_cast<uint32_t>(page_entries.size() +
-                                    spill_entries.size() + links.size()));
-    EncodeU32(run.data() + 20, static_cast<uint32_t>(scraps.size()));
-    uint8_t* p = run.data() + kJournalHeader;
-    const auto put_entry = [&p](uint32_t block, const uint8_t* data,
-                                uint32_t length) {
-      EncodeU32(p, block);
+  // Phase 3: build the journal run, copying each page image once straight
+  // into its place (ascending home block), then write and sync it. Until
+  // the slot below lands, these blocks are unreferenced — a crash here
+  // costs nothing.
+  const size_t run_bytes = static_cast<size_t>(slot.log_blocks) * bbs;
+  std::unique_ptr<uint8_t[]> run;
+  if (run_bytes > 0) {
+    // Not zero-filled: every byte is written below, the tail included.
+    run = std::make_unique_for_overwrite<uint8_t[]>(run_bytes);
+    EncodeU64(run.get(), kJournalMagic);
+    EncodeU64(run.get() + 8, slot.epoch);
+    EncodeU32(run.get() + 16,
+              static_cast<uint32_t>(pages.size() + links.size()));
+    EncodeU32(run.get() + 20, static_cast<uint32_t>(scraps.size()));
+    EncodeU32(run.get() + 36, 0);
+    uint8_t* p = run.get() + kJournalHeader;
+    for (const JournalPage& e : pages) {
+      const uint32_t length = static_cast<uint32_t>(ExtentBytes(e.size_class));
+      EncodeU32(p, e.home);
       EncodeU32(p + 4, length);
-      std::memcpy(p + 8, data, length);
+      if (const Status st = CopyJournalPage(e, p + 8); !st.ok()) {
+        // Nothing references the reserved run yet; hand it back as scrap.
+        TrackedMutexLock lock(&alloc_mu_, LockClass::kPagerAlloc);
+        for (const PageId& id : ChopRun(slot.log_start, slot.log_blocks)) {
+          run_scrap_[id.size_class].push_back(id.block);
+        }
+        return st;
+      }
       p += 8 + length;
-    };
-    for (const Entry& e : page_entries) {
-      put_entry(e.block, e.bytes.data(), static_cast<uint32_t>(e.bytes.size()));
-    }
-    for (const Entry& e : spill_entries) {
-      put_entry(e.block, e.bytes.data(), static_cast<uint32_t>(e.bytes.size()));
     }
     for (const auto& [block, next] : links) {
-      uint8_t link[4];
-      EncodeU32(link, next);
-      put_entry(block, link, 4);
+      EncodeU32(p, block);
+      EncodeU32(p + 4, 4);
+      EncodeU32(p + 8, next);
+      p += 12;
     }
     for (const PageId& s : scraps) {
       EncodeU32(p, s.block);
@@ -929,11 +932,12 @@ Status Pager::Checkpoint() {
       p += 8;
     }
     const uint64_t payload =
-        static_cast<uint64_t>(p - (run.data() + kJournalHeader));
-    EncodeU64(run.data() + 24, payload);
-    EncodeU32(run.data() + 32, Crc32c(run.data() + kJournalHeader, payload));
-    Status st = device_->Write(BlockOffset(slot.log_start), run.data(),
-                               run.size());
+        static_cast<uint64_t>(p - (run.get() + kJournalHeader));
+    std::memset(p, 0, run.get() + run_bytes - p);
+    EncodeU64(run.get() + 24, payload);
+    EncodeU32(run.get() + 32, Crc32c(run.get() + kJournalHeader, payload));
+    Status st = device_->Write(BlockOffset(slot.log_start), run.get(),
+                               run_bytes);
     if (st.ok()) st = device_->Sync();
     if (!st.ok()) {
       EnterDegraded();
@@ -954,6 +958,8 @@ Status Pager::Checkpoint() {
     }
   }
   BumpStat(stats_.checkpoints);
+  BumpStat(stats_.journaled_pages, pages.size());
+  BumpStat(stats_.journal_bytes, static_cast<uint64_t>(slot.log_blocks) * bbs);
 
   // Commit the new durable state in memory.
   {
@@ -974,33 +980,32 @@ Status Pager::Checkpoint() {
     active_log_blocks_ = slot.log_blocks;
   }
 
-  // Phase 5: apply the journaled changes to their home locations. A crash
-  // anywhere in here is fine — Open() replays the journal — so no final
-  // sync. Page images go first so that once redirects drop, a pool miss
-  // finds current bytes at home.
-  for (const Entry& e : page_entries) {
+  // Phase 5: apply the journaled changes to their home locations, each
+  // page image from its slice of the run. A crash anywhere in here is
+  // fine — Open() replays the journal — so no final sync. Page images go
+  // first so that once redirects drop, a pool miss finds current bytes at
+  // home.
+  size_t image = kJournalHeader + 8;
+  for (const JournalPage& e : pages) {
+    const size_t length = ExtentBytes(e.size_class);
     const Status st =
-        device_->Write(BlockOffset(e.block), e.bytes.data(), e.bytes.size());
+        device_->Write(BlockOffset(e.home), run.get() + image, length);
     if (!st.ok()) {
       EnterDegraded();
       return st;
     }
     BumpStat(stats_.physical_writes);
+    image += 8 + length;
   }
-  for (const Entry& e : spill_entries) {
-    const Status st =
-        device_->Write(BlockOffset(e.block), e.bytes.data(), e.bytes.size());
-    if (!st.ok()) {
-      EnterDegraded();
-      return st;
-    }
-    BumpStat(stats_.physical_writes);
-  }
-  for (uint32_t block : snapshotted) {
-    Partition& part = PartitionFor(block);
+  for (const JournalPage& e : pages) {
+    if (e.spill != kInvalidBlock) continue;
+    Partition& part = PartitionFor(e.home);
     TrackedMutexLock lock(&part.mu, LockClass::kPagerPartition);
-    auto it = part.frames.find(block);
-    if (it != part.frames.end()) it->second.dirty = false;
+    auto it = part.frames.find(e.home);
+    if (it != part.frames.end() && it->second.dirty) {
+      it->second.dirty = false;
+      part.dirty.erase(e.home);
+    }
   }
   {
     // Retire every redirect: home blocks are current again. Spills created
@@ -1026,6 +1031,27 @@ Status Pager::Checkpoint() {
     }
   }
   return Status::OK();
+}
+
+Status Pager::CopyJournalPage(const JournalPage& page, uint8_t* out) {
+  const size_t n = ExtentBytes(page.size_class);
+  uint32_t src = page.spill;
+  if (src == kInvalidBlock) {
+    Partition& part = PartitionFor(page.home);
+    TrackedMutexLock lock(&part.mu, LockClass::kPagerPartition);
+    auto it = part.frames.find(page.home);
+    if (it != part.frames.end()) {
+      std::memcpy(out, it->second.bytes.data(), n);
+      return Status::OK();
+    }
+    // A reader evicted the dirty frame after phase 1; its spill extent
+    // holds the same bytes.
+    TrackedMutexLock alloc_lock(&alloc_mu_, LockClass::kPagerAlloc);
+    auto rit = redirects_.find(page.home);
+    SEGIDX_CHECK(rit != redirects_.end());
+    src = rit->second.block;
+  }
+  return device_->Read(BlockOffset(src), n, out);
 }
 
 Status Pager::SetUserMeta(const uint8_t* data, size_t n) {
@@ -1235,6 +1261,7 @@ void Pager::EnforceCapacityLocked(Partition& part) {
       }
     }
     it = part.lru.erase(it);
+    if (frame.dirty) part.dirty.erase(victim);
     part.cached_bytes -= frame.bytes.size();
     part.frames.erase(fit);
     BumpStat(stats_.evictions);
@@ -1263,7 +1290,10 @@ void Pager::MarkFrameDirty(uint32_t block) {
   TrackedMutexLock lock(&part.mu, LockClass::kPagerPartition);
   auto it = part.frames.find(block);
   SEGIDX_CHECK(it != part.frames.end());
-  it->second.dirty = true;
+  if (!it->second.dirty) {
+    it->second.dirty = true;
+    part.dirty.insert(block);
+  }
 }
 
 }  // namespace segidx::storage

@@ -27,7 +27,10 @@
 //     syncs the inactive slot (which records the run). Only after the slot
 //     is durable are the changes applied to their home locations; Open()
 //     replays the winning slot's journal, so those home writes need no
-//     final sync and may tear freely.
+//     final sync and may tear freely. Each buffer-pool partition keeps the
+//     set of its dirty blocks, so a checkpoint finds the dirty pages
+//     without scanning clean frames and copies each page image once,
+//     straight into the journal run; the home writes come from that run.
 //   * Evicting a dirty frame *spills* it to a fresh extent and records a
 //     home→spill redirect instead of overwriting the home block; Fetch()
 //     follows redirects. Free() only defers the extent to an in-memory
@@ -83,6 +86,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "check/lock_order.h"
@@ -140,6 +144,8 @@ struct StorageStats {
   uint64_t pages_freed = 0;
   uint64_t spills = 0;           // dirty evictions redirected to spill blocks.
   uint64_t checkpoints = 0;      // completed (durable) checkpoints.
+  uint64_t journaled_pages = 0;  // page images those checkpoints journaled.
+  uint64_t journal_bytes = 0;    // bytes of journal run they wrote.
   uint64_t degraded = 0;         // 1 once a hard write error forced
                                  // read-only mode (survives ResetStats).
   uint64_t pages_quarantined = 0;  // Extents ever quarantined after a
@@ -405,6 +411,7 @@ class Pager {
     std::vector<uint8_t> bytes;
     uint8_t size_class = 0;
     int pin_count = 0;
+    // Set exactly while the block is in its partition's dirty set.
     bool dirty = false;
     // Position in the partition's lru when pin_count == 0.
     std::list<uint32_t>::iterator lru_pos;
@@ -412,12 +419,15 @@ class Pager {
   };
 
   // One buffer-pool shard: its own latch, frame map, LRU list (front =
-  // most recent), and byte budget. Frames live in the node-based map, so
-  // pointers handed out while pinned stay valid across rehashes.
+  // most recent), dirty set, and byte budget. Frames live in the node-based
+  // map, so pointers handed out while pinned stay valid across rehashes.
+  // The dirty set names every cached frame whose bytes the next checkpoint
+  // must journal, so Checkpoint() never scans clean frames.
   struct Partition {
     mutable common::Mutex mu;
     std::unordered_map<uint32_t, Frame> frames GUARDED_BY(mu);
     std::list<uint32_t> lru GUARDED_BY(mu);
+    std::unordered_set<uint32_t> dirty GUARDED_BY(mu);
     size_t cached_bytes GUARDED_BY(mu) = 0;
   };
 
@@ -425,6 +435,14 @@ class Pager {
   struct SpillSlot {
     uint32_t block = kInvalidBlock;
     uint8_t size_class = 0;
+  };
+
+  // One page image a checkpoint journals: a dirty pooled frame, or a
+  // spilled page whose spill extent holds its only current copy.
+  struct JournalPage {
+    uint32_t home = kInvalidBlock;
+    uint8_t size_class = 0;
+    uint32_t spill = kInvalidBlock;  // Set only for a spilled page.
   };
 
   // Decoded superblock slot.
@@ -495,6 +513,9 @@ class Pager {
   // analysis — `part` is not a parameter); takes alloc_mu_ internally,
   // which is the one legal partition-then-alloc nesting.
   Status SpillFrame(uint32_t home, const Frame& frame);
+  // Copies `page`'s current bytes into `out` (ExtentBytes(size_class)
+  // long): from its frame while cached, else from its spill extent.
+  Status CopyJournalPage(const JournalPage& page, uint8_t* out);
   void Unpin(uint32_t block);
   void MarkFrameDirty(uint32_t block);
 

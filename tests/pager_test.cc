@@ -1,16 +1,19 @@
 #include "storage/pager.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "storage/block_device.h"
 #include "storage/coding.h"
+#include "storage/fault_injection.h"
 
 namespace segidx::storage {
 namespace {
@@ -541,6 +544,192 @@ TEST(PagerTest, ConcurrentGroupCommitsCoalesceIntoBatches) {
   EXPECT_LE(stats.commit_batches, stats.commit_requests);
   // With 8 threads hammering a 2ms window, amortization must be visible.
   EXPECT_LT(stats.commit_batches, stats.commit_requests);
+}
+
+// --- dirty-set bookkeeping -------------------------------------------------
+//
+// Checkpoint() journals the pages named by the partitions' dirty sets (plus
+// spilled pages). Each case below asserts what a checkpoint journaled, then
+// reopens a copy of the device and compares every page's bytes.
+
+// Pool of `frames` one-block frames in one partition (exact global LRU).
+PagerOptions OnePartitionPool(size_t frames) {
+  PagerOptions options;
+  options.base_block_size = 1024;
+  options.buffer_pool_bytes = frames * 1024;
+  options.lru_partitions = 1;
+  return options;
+}
+
+// Fills a pinned page with `fill` and marks it dirty.
+void Scribble(PageHandle& page, uint8_t fill) {
+  std::memset(page.data(), fill, page.size());
+  page.MarkDirty();
+}
+
+void ScribbleFetched(Pager& pager, PageId id, uint8_t fill) {
+  auto page = pager.Fetch(id);
+  ASSERT_TRUE(page.ok()) << page.status().ToString();
+  Scribble(*page, fill);
+}
+
+// Allocates `n` one-block pages, page i filled with `first_fill + i`.
+std::vector<PageId> AllocateFilled(Pager& pager, int n, uint8_t first_fill) {
+  std::vector<PageId> ids;
+  for (int i = 0; i < n; ++i) {
+    auto page = pager.Allocate(0);
+    EXPECT_TRUE(page.ok()) << page.status().ToString();
+    if (!page.ok()) break;
+    Scribble(*page, static_cast<uint8_t>(first_fill + i));
+    ids.push_back(page->id());
+  }
+  return ids;
+}
+
+// Every byte of page `id` equals `fill`.
+void ExpectFilled(Pager& pager, PageId id, uint8_t fill) {
+  auto page = pager.Fetch(id);
+  ASSERT_TRUE(page.ok()) << page.status().ToString();
+  for (size_t i = 0; i < page->size(); ++i) {
+    ASSERT_EQ(page->data()[i], fill) << "block " << id.block << " byte " << i;
+  }
+}
+
+// Opens a copy of `device` (the durable bytes as they stand) and expects
+// each listed page to hold its fill.
+void ExpectReopened(const MemoryBlockDevice& device,
+                    const PagerOptions& options,
+                    const std::vector<std::pair<PageId, uint8_t>>& expected) {
+  auto reopened = Pager::Open(
+      std::make_unique<MemoryBlockDevice>(device.Snapshot()), options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  for (const auto& [id, fill] : expected) {
+    ExpectFilled(**reopened, id, fill);
+  }
+}
+
+TEST(PagerDirtySetTest, SpilledThenRedirtiedPageIsJournaledOnceWithLatest) {
+  const PagerOptions options = OnePartitionPool(4);
+  auto device = std::make_unique<MemoryBlockDevice>();
+  const MemoryBlockDevice& raw = *device;
+  auto pager = Pager::Create(std::move(device), options).value();
+  const std::vector<PageId> ids = AllocateFilled(*pager, 8, 1);
+  ASSERT_EQ(ids.size(), 8u);
+  ASSERT_TRUE(pager->Checkpoint().ok());
+
+  // Dirty page 0, then fetch the other seven past it: it spills.
+  ScribbleFetched(*pager, ids[0], 0xa1);
+  const StorageStats before_spill = pager->stats();
+  for (size_t i = 1; i < ids.size(); ++i) ExpectFilled(*pager, ids[i], i + 1);
+  EXPECT_EQ(pager->stats().spills, before_spill.spills + 1);
+
+  // Fetched back (from its spill) and dirtied again: the checkpoint
+  // journals it once, with the second image.
+  ExpectFilled(*pager, ids[0], 0xa1);
+  ScribbleFetched(*pager, ids[0], 0xa2);
+  const StorageStats before = pager->stats();
+  ASSERT_TRUE(pager->Checkpoint().ok());
+  const StorageStats& after = pager->stats();
+  EXPECT_EQ(after.journaled_pages - before.journaled_pages, 1u);
+  const uint64_t journal_bytes = after.journal_bytes - before.journal_bytes;
+  EXPECT_GT(journal_bytes, pager->ExtentBytes(0));
+  EXPECT_EQ(journal_bytes % options.base_block_size, 0u);
+
+  std::vector<std::pair<PageId, uint8_t>> expected = {{ids[0], 0xa2}};
+  for (size_t i = 1; i < ids.size(); ++i) {
+    expected.emplace_back(ids[i], static_cast<uint8_t>(i + 1));
+  }
+  ExpectReopened(raw, options, expected);
+}
+
+TEST(PagerDirtySetTest, FrameFreedWhileDirtyIsNotJournaled) {
+  const PagerOptions options = OnePartitionPool(64);
+  auto device = std::make_unique<MemoryBlockDevice>();
+  const MemoryBlockDevice& raw = *device;
+  auto pager = Pager::Create(std::move(device), options).value();
+  const std::vector<PageId> ids = AllocateFilled(*pager, 3, 1);
+  ASSERT_EQ(ids.size(), 3u);
+  ASSERT_TRUE(pager->Checkpoint().ok());
+
+  ScribbleFetched(*pager, ids[0], 0xf0);
+  ScribbleFetched(*pager, ids[1], 0xb1);
+  ASSERT_TRUE(pager->Free(ids[0]).ok());
+  const StorageStats before = pager->stats();
+  ASSERT_TRUE(pager->Checkpoint().ok());
+  EXPECT_EQ(pager->stats().journaled_pages - before.journaled_pages, 1u);
+
+  const auto free_extents = pager->FreeExtents();
+  ASSERT_TRUE(free_extents.ok());
+  EXPECT_NE(std::find(free_extents->begin(), free_extents->end(), ids[0]),
+            free_extents->end());
+  ExpectReopened(raw, options, {{ids[1], 0xb1}, {ids[2], 3}});
+}
+
+TEST(PagerDirtySetTest, DegradedPagerKeepsDirtyFramesCached) {
+  const PagerOptions options = OnePartitionPool(4);
+  auto memory = std::make_unique<MemoryBlockDevice>();
+  const MemoryBlockDevice& raw = *memory;
+  auto faulty = std::make_unique<FaultInjectingBlockDevice>(std::move(memory));
+  FaultInjectingBlockDevice* dev = faulty.get();
+  auto pager = Pager::Create(std::move(faulty), options).value();
+  const std::vector<PageId> ids = AllocateFilled(*pager, 8, 1);
+  ASSERT_EQ(ids.size(), 8u);
+  ASSERT_TRUE(pager->Checkpoint().ok());
+
+  // Dirty the first four pages (they displace the clean ones), then fail
+  // the checkpoint's journal write: the pager degrades.
+  for (int i = 0; i < 4; ++i) ScribbleFetched(*pager, ids[i], 0xd0 + i);
+  dev->FailNthWrite(0, /*sticky=*/true);
+  EXPECT_FALSE(pager->Checkpoint().ok());
+  ASSERT_TRUE(pager->degraded());
+
+  // Reading the other pages cannot evict the dirty frames: there is no
+  // safe place left to write them.
+  const StorageStats before = pager->stats();
+  for (int i = 4; i < 8; ++i) ExpectFilled(*pager, ids[i], i + 1);
+  EXPECT_EQ(pager->cached_frames(), 4u);
+  EXPECT_EQ(pager->stats().spills, before.spills);
+  const uint64_t reads = pager->stats().physical_reads;
+  for (int i = 0; i < 4; ++i) ExpectFilled(*pager, ids[i], 0xd0 + i);
+  EXPECT_EQ(pager->stats().physical_reads, reads);
+  EXPECT_EQ(pager->Checkpoint().code(), StatusCode::kUnavailable);
+
+  // The failed checkpoint published nothing: the file holds the last
+  // durable images.
+  std::vector<std::pair<PageId, uint8_t>> expected;
+  for (int i = 0; i < 8; ++i) {
+    expected.emplace_back(ids[i], static_cast<uint8_t>(i + 1));
+  }
+  ExpectReopened(raw, options, expected);
+}
+
+TEST(PagerDirtySetTest, ManyCleanFramesPlusOneDirtyJournalOnePage) {
+  PagerOptions options;
+  options.base_block_size = 1024;
+  auto device = std::make_unique<MemoryBlockDevice>();
+  const MemoryBlockDevice& raw = *device;
+  auto pager = Pager::Create(std::move(device), options).value();
+  const std::vector<PageId> ids = AllocateFilled(*pager, 512, 0);
+  ASSERT_EQ(ids.size(), 512u);
+  ASSERT_TRUE(pager->Checkpoint().ok());
+  EXPECT_EQ(pager->stats().journaled_pages, 512u);
+  ASSERT_EQ(pager->cached_frames(), 512u);
+
+  ScribbleFetched(*pager, ids[300], 0xee);
+  const StorageStats before = pager->stats();
+  ASSERT_TRUE(pager->Checkpoint().ok());
+  const StorageStats& after = pager->stats();
+  EXPECT_EQ(after.journaled_pages - before.journaled_pages, 1u);
+  // One page entry, the header and no links or scraps: two blocks.
+  EXPECT_EQ(after.journal_bytes - before.journal_bytes, 2u * 1024);
+  EXPECT_EQ(after.physical_writes - before.physical_writes, 1u);
+
+  std::vector<std::pair<PageId, uint8_t>> expected;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    expected.emplace_back(ids[i],
+                          i == 300 ? 0xee : static_cast<uint8_t>(i));
+  }
+  ExpectReopened(raw, options, expected);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -85,6 +86,34 @@ TEST(ServerTest, StartStopHealthAndStats) {
     EXPECT_NE(stats->find(field), std::string::npos)
         << "missing " << field << " in " << *stats;
   }
+  server.Stop();
+}
+
+// The stats JSON reports what commits journaled, so an operator can read
+// it directly rather than from the write counters.
+TEST(ServerTest, StatsReportJournaledPages) {
+  auto index = MakeIndex();
+  Server server(index.get(), ServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE((*client)->Insert(Rect(10, 20, 5, 5), 1).ok());
+  ASSERT_TRUE((*client)->Commit().ok());
+
+  auto stats = (*client)->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const auto counter = [&](const std::string& key) -> unsigned long long {
+    const size_t at = stats->find("\"" + key + "\": ");
+    if (at == std::string::npos) {
+      ADD_FAILURE() << "missing " << key << " in " << *stats;
+      return 0;
+    }
+    return std::strtoull(stats->c_str() + at + key.size() + 4, nullptr, 10);
+  };
+  EXPECT_GE(counter("journaled_pages"), 1u);
+  EXPECT_EQ(counter("journaled_pages"),
+            index->storage_stats().journaled_pages);
+  EXPECT_GE(counter("journal_bytes"), index->pager()->ExtentBytes(0));
   server.Stop();
 }
 

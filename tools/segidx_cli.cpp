@@ -492,6 +492,11 @@ int CmdStats(const Args& args, const std::string& file) {
               static_cast<unsigned long long>(latch.latch_acquires),
               static_cast<unsigned long long>(latch.latch_blocked),
               static_cast<unsigned long long>(latch.latch_wait_us));
+  const storage::StorageStats& storage = index->storage_stats();
+  std::printf("journal:        %llu checkpoints, %llu pages, %llu bytes\n",
+              static_cast<unsigned long long>(storage.checkpoints),
+              static_cast<unsigned long long>(storage.journaled_pages),
+              static_cast<unsigned long long>(storage.journal_bytes));
   return 0;
 }
 
