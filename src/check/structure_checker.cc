@@ -514,7 +514,7 @@ void StructureChecker::CheckPageAccounting() {
             [](const Extent& a, const Extent& b) { return a.begin < b.begin; });
 
   const uint64_t allocated = pager->allocated_blocks();
-  // Superblock slot blocks precede the data range (two in format v2).
+  // The two superblock slot blocks precede the data range.
   uint32_t cursor = pager->first_data_block();
   for (const Extent& e : extents) {
     PageId page;

@@ -262,11 +262,6 @@ class IntervalIndex {
   static Result<std::unique_ptr<IntervalIndex>> OpenWithPager(
       std::unique_ptr<storage::Pager> pager, const IndexOptions& options);
 
-  // Mutations on a legacy (format v1) file fail up front with
-  // kFailedPrecondition instead of half-applying in the buffer pool and
-  // then failing to checkpoint.
-  Status CheckWritable() const;
-
   IndexKind kind_;
   std::unique_ptr<storage::Pager> pager_;
   std::unique_ptr<rtree::RTree> tree_;

@@ -10,11 +10,10 @@ namespace segidx::core {
 
 namespace {
 
-// Plausibility screen applied after a successful checksum + decode. The v2
+// Plausibility screen applied after a successful checksum + decode. The
 // CRC32C is folded to 16 bits, so a damaged extent passes it with
 // probability ~2^-16 per candidate; rejecting nodes whose decoded fields
-// are impossible keeps such collisions (and v1's weaker FNV checksum) from
-// injecting garbage records.
+// are impossible keeps such collisions from injecting garbage records.
 bool PlausibleNode(const rtree::Node& node) {
   // Far above any real tree height (fan-out >= 2 over 2^64 records).
   if (node.level > 64) return false;
@@ -69,7 +68,7 @@ Result<std::vector<std::pair<Rect, TupleId>>> ScavengeRecords(
   };
 
   // Walk every block past the two superblock slots, trying each extent size
-  // in turn. The v2 checksum covers the whole extent, so a node only
+  // in turn. The page checksum covers the whole extent, so a node only
   // decodes at its true size class; journal pages, metadata, and damaged
   // extents fail the checksum and are skipped one block at a time.
   std::vector<uint8_t> buf;
@@ -83,8 +82,7 @@ Result<std::vector<std::pair<Rect, TupleId>>> ScavengeRecords(
       const size_t n = static_cast<size_t>(bbs << sc);
       buf.resize(n);
       if (!device.Read(block * bbs, n, buf.data()).ok()) break;
-      Result<rtree::Node> node_or =
-          rtree::Node::Deserialize(buf.data(), n, options.checksum_kind);
+      Result<rtree::Node> node_or = rtree::Node::Deserialize(buf.data(), n);
       if (!node_or.ok() || !PlausibleNode(*node_or)) continue;
       const rtree::Node& node = *node_or;
       ++rep.nodes_decoded;

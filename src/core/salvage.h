@@ -31,8 +31,6 @@ namespace segidx::core {
 struct SalvageOptions {
   // Geometry of the damaged file; base_block_size must match creation time.
   storage::PagerOptions pager;
-  // Node checksum algorithm of the damaged file (CRC32C for format v2).
-  rtree::PageChecksumKind checksum_kind = rtree::PageChecksumKind::kCrc32c;
   // Kind of the rebuilt index (must not be a skeleton kind: the rebuild
   // bulk-loads, which skeleton pre-construction replaces).
   IndexKind rebuild_kind = IndexKind::kRTree;

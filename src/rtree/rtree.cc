@@ -29,8 +29,6 @@ constexpr int kMaxReinsertIterations = 1 << 20;
 RTree::RTree(storage::Pager* pager, const TreeOptions& options)
     : options_(options), pager_(pager) {
   SEGIDX_CHECK(pager != nullptr);
-  checksum_kind_ = pager->format_version() == 1 ? PageChecksumKind::kFnv16
-                                                : PageChecksumKind::kCrc32c;
 }
 
 Result<std::unique_ptr<RTree>> RTree::Create(storage::Pager* pager,
@@ -66,7 +64,7 @@ Status RTree::SetupEmptyRoot() {
   root.level = 0;
   SEGIDX_ASSIGN_OR_RETURN(storage::PageHandle page,
                           pager_->Allocate(SizeClassForLevel(0)));
-  SEGIDX_RETURN_IF_ERROR(root.Serialize(page.data(), page.size(), checksum_kind_));
+  SEGIDX_RETURN_IF_ERROR(root.Serialize(page.data(), page.size()));
   page.MarkDirty();
   TrackedMutexLock lock(&meta_mu_, LockClass::kTreeMeta);
   root_ = page.id();
@@ -126,18 +124,18 @@ bool RTree::HasByteRoomForSpanning(const Node& node) const {
 Result<Node> RTree::ReadNode(storage::PageId id) {
   CountNodeAccess();
   SEGIDX_ASSIGN_OR_RETURN(storage::PageHandle page, pager_->Fetch(id));
-  return Node::Deserialize(page.data(), page.size(), checksum_kind_);
+  return Node::Deserialize(page.data(), page.size());
 }
 
 Result<Node> RTree::ReadNode(storage::PageId id, uint64_t* accesses) const {
   ++*accesses;
   SEGIDX_ASSIGN_OR_RETURN(storage::PageHandle page, pager_->Fetch(id));
-  return Node::Deserialize(page.data(), page.size(), checksum_kind_);
+  return Node::Deserialize(page.data(), page.size());
 }
 
 Status RTree::WriteNode(storage::PageId id, const Node& node) {
   SEGIDX_ASSIGN_OR_RETURN(storage::PageHandle page, pager_->Fetch(id));
-  SEGIDX_RETURN_IF_ERROR(node.Serialize(page.data(), page.size(), checksum_kind_));
+  SEGIDX_RETURN_IF_ERROR(node.Serialize(page.data(), page.size()));
   page.MarkDirty();
   return Status::OK();
 }
@@ -500,7 +498,7 @@ Result<BranchEntry> RTree::SplitNode(storage::PageId node_id, Node* node,
   SEGIDX_ASSIGN_OR_RETURN(storage::PageHandle page,
                           pager_->Allocate(SizeClassForLevel(node->level)));
   const storage::PageId sibling_id = page.id();
-  SEGIDX_RETURN_IF_ERROR(sibling.Serialize(page.data(), page.size(), checksum_kind_));
+  SEGIDX_RETURN_IF_ERROR(sibling.Serialize(page.data(), page.size()));
   page.MarkDirty();
   page.Release();
 
@@ -530,7 +528,7 @@ Status RTree::GrowRootAfterSplit(const BranchEntry& old_root,
 
   SEGIDX_ASSIGN_OR_RETURN(storage::PageHandle page,
                           pager_->Allocate(SizeClassForLevel(new_root.level)));
-  SEGIDX_RETURN_IF_ERROR(new_root.Serialize(page.data(), page.size(), checksum_kind_));
+  SEGIDX_RETURN_IF_ERROR(new_root.Serialize(page.data(), page.size()));
   page.MarkDirty();
   // The caller holds the old root's latch (a split that reached the root
   // means no safe node released it), so no other writer can be moving the
@@ -941,7 +939,7 @@ Status RTree::PreBuild(const SkeletonSpec& spec) {
         SEGIDX_ASSIGN_OR_RETURN(
             storage::PageHandle page,
             pager_->Allocate(SizeClassForLevel(static_cast<int>(li))));
-        SEGIDX_RETURN_IF_ERROR(node.Serialize(page.data(), page.size(), checksum_kind_));
+        SEGIDX_RETURN_IF_ERROR(node.Serialize(page.data(), page.size()));
         page.MarkDirty();
         current[cy][cx] = Cell{page.id(), cell_rect};
         if (li == 0) leaf_mod_counts_[page.id().block] = 0;
@@ -968,7 +966,7 @@ Status RTree::PreBuild(const SkeletonSpec& spec) {
   }
   SEGIDX_ASSIGN_OR_RETURN(storage::PageHandle page,
                           pager_->Allocate(SizeClassForLevel(root.level)));
-  SEGIDX_RETURN_IF_ERROR(root.Serialize(page.data(), page.size(), checksum_kind_));
+  SEGIDX_RETURN_IF_ERROR(root.Serialize(page.data(), page.size()));
   page.MarkDirty();
   root_ = page.id();
   root_level_ = root.level;

@@ -293,9 +293,6 @@ class RTree {
     return out;
   }
   storage::Pager* pager() { return pager_; }
-  // Node-page checksum algorithm for this tree's file format (CRC32C for
-  // v2 files, folded FNV-1a for legacy v1 files).
-  PageChecksumKind checksum_kind() const { return checksum_kind_; }
 
   // Entry capacity of a leaf node.
   size_t LeafCapacity() const;
@@ -508,8 +505,6 @@ class RTree {
   void ForgetLeaf(uint32_t block);
 
   storage::Pager* pager_;
-  // Derived from pager_->format_version() at construction.
-  PageChecksumKind checksum_kind_ = PageChecksumKind::kCrc32c;
 
   // The phase gate separating searches (read-shared), Insert/Delete
   // (write-shared) and whole-tree operations (exclusive).

@@ -36,7 +36,8 @@
 //     follows redirects. Free() only defers the extent to an in-memory
 //     pending list; links are threaded at the next checkpoint.
 //
-// Format v1 files (single superblock, no journal) still open, read-only.
+// Format v1 files (magic "SEGIDX01") are refused at open with
+// kFailedPrecondition.
 //
 // A hard I/O *write* failure (after the block device's own retries) flips
 // the pager into degraded read-only mode: Fetch() keeps serving, while
@@ -182,7 +183,7 @@ struct PagerOptions {
 // winning checkpoint's journal was replayed.
 struct RecoveryReport {
   uint32_t format_version = 0;
-  int active_slot = -1;       // Winning slot index (v2 files only).
+  int active_slot = -1;       // Winning slot index.
   uint64_t epoch = 0;         // Epoch of the recovered state.
   // True when exactly one slot was usable — i.e. the file carries evidence
   // of an interrupted checkpoint (or external damage) that Open() recovered
@@ -338,11 +339,9 @@ class Pager {
   // accounting in experiments.
   uint64_t allocated_blocks() const { return next_block_; }
 
-  // 2 for v2 files (dual superblock slots), 1 for legacy v1 files.
-  uint32_t format_version() const { return format_version_; }
-  // First block available to data extents (after the superblock slot(s)).
-  uint32_t first_data_block() const { return format_version_ == 1 ? 1 : 2; }
-  // Epoch of the newest durable checkpoint (v2; 0 for v1 files).
+  // First block available to data extents (after the two superblock slots).
+  static constexpr uint32_t first_data_block() { return 2; }
+  // Epoch of the newest durable checkpoint.
   uint64_t epoch() const { return epoch_; }
   // True once a hard write error flipped the pager read-only.
   bool degraded() const {
@@ -467,12 +466,11 @@ class Pager {
 
   Pager(std::unique_ptr<BlockDevice> device, const PagerOptions& options);
 
-  // kFailedPrecondition for v1 files, kUnavailable when degraded.
+  // kUnavailable when degraded.
   Status CheckMutable() const;
   void EnterDegraded();
 
   Status ReadSuperblock();
-  Status OpenLegacyV1(const std::vector<uint8_t>& block0);
   Status ParseSlot(const uint8_t* buf, SlotState* out) const;
   // Serializes a slot image for `state` into a base-block-sized buffer.
   std::vector<uint8_t> SerializeSlot(const SlotState& state) const;
@@ -505,7 +503,7 @@ class Pager {
                           std::vector<uint8_t> bytes, bool dirty);
 
   // Evicts unpinned LRU frames until the partition is within its budget.
-  // Dirty victims spill (v2); frames that cannot be persisted (degraded
+  // Dirty victims spill; frames that cannot be persisted (degraded
   // mode) are skipped. Caller holds part.mu.
   void EnforceCapacityLocked(Partition& part) REQUIRES(part.mu);
   // Writes `frame`'s bytes to its spill extent (allocating one on first
@@ -534,7 +532,6 @@ class Pager {
   std::unordered_map<uint32_t, QuarantinedPage> quarantine_
       GUARDED_BY(quarantine_mu_);
 
-  uint32_t format_version_ = 2;
   std::atomic<bool> degraded_{false};
   RecoveryReport report_;
 

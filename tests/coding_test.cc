@@ -59,31 +59,6 @@ TEST(CodingTest, DoubleRoundTrip) {
   }
 }
 
-TEST(ChecksumTest, DeterministicAndSensitive) {
-  std::vector<uint8_t> data(1000);
-  for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<uint8_t>(i * 31);
-  }
-  const uint16_t base = Checksum16(data.data(), data.size());
-  EXPECT_EQ(Checksum16(data.data(), data.size()), base);
-  // Any single-byte change anywhere must flip the checksum.
-  for (size_t pos : {0u, 7u, 8u, 499u, 993u, 999u}) {
-    std::vector<uint8_t> copy = data;
-    copy[pos] ^= 0x01;
-    EXPECT_NE(Checksum16(copy.data(), copy.size()), base) << pos;
-  }
-  // Length matters.
-  EXPECT_NE(Checksum16(data.data(), data.size() - 1), base);
-}
-
-TEST(ChecksumTest, EmptyAndShortInputs) {
-  const uint8_t byte = 0x42;
-  EXPECT_EQ(Checksum16(&byte, 0), Checksum16(&byte, 0));
-  const uint16_t one = Checksum16(&byte, 1);
-  const uint8_t other = 0x43;
-  EXPECT_NE(Checksum16(&other, 1), one);
-}
-
 TEST(CodingTest, NanRoundTripsBitExact) {
   uint8_t buf[8];
   EncodeDouble(buf, std::numeric_limits<double>::quiet_NaN());

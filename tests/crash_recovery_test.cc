@@ -1,5 +1,5 @@
 // Crash-safety suite: fault-injecting device behavior, dual-superblock
-// recovery, degraded read-only mode, legacy v1 handling, checkpoint-on-close,
+// recovery, degraded read-only mode, refusal of format v1, checkpoint-on-close,
 // and the systematic crash-at-every-op torture sweep (ISSUE 4).
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "core/interval_index.h"
-#include "rtree/node.h"
 #include "storage/block_device.h"
 #include "storage/coding.h"
 #include "storage/fault_injection.h"
@@ -27,8 +26,6 @@ namespace {
 using core::IndexKind;
 using core::IndexOptions;
 using core::IntervalIndex;
-using rtree::Node;
-using rtree::PageChecksumKind;
 using storage::BlockDevice;
 using storage::EncodeU16;
 using storage::EncodeU32;
@@ -334,7 +331,7 @@ TEST(DegradedModeTest, SearchSucceedsAfterMidSearchWriteFailure) {
   EXPECT_EQ(index->Close().code(), StatusCode::kUnavailable);
 }
 
-// --- Legacy format v1 -------------------------------------------------------
+// --- Format v1 is refused ---------------------------------------------------
 
 std::vector<uint8_t> BuildV1Image() {
   // Hand-rolled v1 superblock: magic "SEGIDX01", version 1, bbs 1024,
@@ -352,51 +349,28 @@ std::vector<uint8_t> BuildV1Image() {
   return image;
 }
 
-TEST(LegacyV1Test, OpensReadOnly) {
-  auto pager = OpenImage(BuildV1Image());
-  ASSERT_TRUE(pager.ok()) << pager.status().ToString();
-  EXPECT_EQ((*pager)->format_version(), 1u);
-  EXPECT_EQ((*pager)->first_data_block(), 1u);
-  EXPECT_EQ((*pager)->epoch(), 0u);
-  EXPECT_EQ((*pager)->recovery_report().format_version, 1u);
-  EXPECT_EQ((*pager)->Allocate(0).status().code(),
+TEST(LegacyV1Test, RefusedAtOpen) {
+  const std::vector<uint8_t> image = BuildV1Image();
+  EXPECT_EQ(OpenImage(image).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ((*pager)->Checkpoint().code(), StatusCode::kFailedPrecondition);
-  const uint8_t meta[1] = {1};
-  EXPECT_EQ((*pager)->SetUserMeta(meta, 1).code(),
-            StatusCode::kFailedPrecondition);
-}
 
-TEST(LegacyV1Test, FnvChecksumRoundTripsAndMissesTailDamage) {
-  Node node;
-  node.level = 0;
-  node.records.push_back({Rect(0, 1, 0, 1), 42});
-
-  std::vector<uint8_t> buf(1024, 0xee);  // Dirty extent tail.
-  ASSERT_TRUE(
-      node.Serialize(buf.data(), buf.size(), PageChecksumKind::kFnv16).ok());
-  ASSERT_TRUE(Node::Deserialize(buf.data(), buf.size(),
-                                PageChecksumKind::kFnv16)
-                  .ok());
-  // The v1 checksum only covers the serialized prefix — damage in the
-  // unused tail goes unnoticed. That blind spot is why v2 moved to CRC32C
-  // over the full extent.
-  buf[1000] ^= 0xff;
-  EXPECT_TRUE(Node::Deserialize(buf.data(), buf.size(),
-                                PageChecksumKind::kFnv16)
-                  .ok());
-
-  ASSERT_TRUE(
-      node.Serialize(buf.data(), buf.size(), PageChecksumKind::kCrc32c).ok());
-  ASSERT_TRUE(Node::Deserialize(buf.data(), buf.size(),
-                                PageChecksumKind::kCrc32c)
-                  .ok());
-  buf[1000] ^= 0xff;
-  const auto damaged = Node::Deserialize(buf.data(), buf.size(),
-                                         PageChecksumKind::kCrc32c);
-  ASSERT_FALSE(damaged.ok());
-  EXPECT_EQ(damaged.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(damaged.status().message().find("CRC32C"), std::string::npos);
+  // Through the facade on a real file: refused by name, and left untouched.
+  const std::string path = testing::TempDir() + "/legacy_v1_idx";
+  std::remove(path.c_str());
+  {
+    auto dev = storage::FileBlockDevice::Open(path, /*create=*/true).value();
+    ASSERT_TRUE(dev->Write(0, image.data(), image.size()).ok());
+  }
+  const auto index = IntervalIndex::OpenFromDisk(path, IndexOptions());
+  ASSERT_FALSE(index.ok());
+  EXPECT_EQ(index.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(index.status().message().find("format v1"), std::string::npos)
+      << index.status().ToString();
+  auto dev = storage::FileBlockDevice::Open(path, /*create=*/false).value();
+  std::vector<uint8_t> after(dev->size());
+  ASSERT_TRUE(dev->Read(0, after.size(), after.data()).ok());
+  EXPECT_EQ(after, image);
+  std::remove(path.c_str());
 }
 
 // --- Checkpoint on close ----------------------------------------------------

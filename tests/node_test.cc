@@ -1,5 +1,7 @@
 #include "rtree/node.h"
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -100,6 +102,28 @@ TEST(NodeTest, DeserializeRejectsLeafWithSpanning) {
   // level = 0, entries = 0, spanning = 3.
   buf[4] = 3;
   EXPECT_FALSE(Node::Deserialize(buf.data(), buf.size()).ok());
+}
+
+// The page checksum covers the whole extent, not just the serialized
+// entries: Serialize zeroes whatever the extent held past them, and damage
+// there fails Deserialize like damage anywhere else.
+TEST(NodeTest, Crc32cCoversUnusedExtentTail) {
+  Node node;
+  node.level = 0;
+  node.records.push_back({Rect(0, 1, 0, 1), 42});
+
+  std::vector<uint8_t> buf(1024, 0xee);  // Bytes from an earlier life.
+  ASSERT_TRUE(node.Serialize(buf.data(), buf.size()).ok());
+  const size_t used = node.SerializedBytes();
+  EXPECT_TRUE(std::all_of(buf.begin() + static_cast<std::ptrdiff_t>(used),
+                          buf.end(), [](uint8_t b) { return b == 0; }));
+  ASSERT_TRUE(Node::Deserialize(buf.data(), buf.size()).ok());
+
+  buf[1000] ^= 0xff;
+  const auto damaged = Node::Deserialize(buf.data(), buf.size());
+  ASSERT_FALSE(damaged.ok());
+  EXPECT_EQ(damaged.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(damaged.status().message().find("CRC32C"), std::string::npos);
 }
 
 TEST(NodeTest, ComputeMbrCoversEverything) {

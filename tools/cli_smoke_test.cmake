@@ -54,6 +54,8 @@ expect_exit(1 "--qar: expected a positive number"
             bench-parallel --file=cli_smoke_missing.idx --qar=zz)
 expect_exit(1 "--threads: expected positive integers"
             bench-parallel --file=cli_smoke_missing.idx --threads=2,x)
+expect_exit(1 "--threads: expected positive integers"
+            bench-parallel --file=cli_smoke_missing.idx --threads=2x)
 expect_exit(1 "not a TCP port"
             serve --file=cli_smoke_missing.idx --port=99999)
 expect_exit(1 "--queue-depth: expected a positive integer"

@@ -86,9 +86,9 @@ using core::IntervalIndex;
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: segidx "
-      "<create|insert|query|stats|verify|check|bench-parallel> --file=PATH "
-      "...\n"
+      "usage: segidx <create|insert|query|stats|verify|check|bench-parallel|\n"
+      "               scrub|salvage|serve> --file=PATH ...\n"
+      "       segidx <bench-resilience|bench-mixed|torture> ...  (in memory)\n"
       "  create: --kind=rtree|srtree|skeleton-rtree|skeleton-srtree\n"
       "          [--expected=N] [--sample=N] [--domain=xlo:xhi:ylo:yhi]\n"
       "  insert: [--input=CSV]  rows: tid,xlo,xhi[,ylo,yhi]\n"
@@ -560,18 +560,14 @@ int CmdBenchParallel(const Args& args, const std::string& file) {
     std::stringstream ss(*v);
     std::string piece;
     while (std::getline(ss, piece, ',')) {
-      int n = 0;
-      try {
-        n = std::stoi(piece);
-      } catch (const std::exception&) {
-        n = 0;
-      }
-      if (n < 1) {
+      uint64_t n = 0;
+      if (!ParseU64Value(piece, &n) || n == 0 ||
+          n > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
         std::fprintf(stderr, "--threads: expected positive integers, got '%s'\n",
                      piece.c_str());
         return 1;
       }
-      thread_counts.push_back(n);
+      thread_counts.push_back(static_cast<int>(n));
     }
     if (thread_counts.empty()) return Usage();
   }
