@@ -157,6 +157,25 @@ BENCHMARK(BM_PagerCheckpoint)
     ->Iterations(500)
     ->Unit(benchmark::kMicrosecond);
 
+// One GroupCommit from a lone thread with an empty commit function and
+// default options: the sequencer's own cost per durable ack when no other
+// thread commits.
+void BM_PagerGroupCommit(benchmark::State& state) {
+  auto pager = storage::Pager::Create(
+                   std::make_unique<storage::MemoryBlockDevice>(),
+                   storage::PagerOptions())
+                   .value();
+  for (auto _ : state) {
+    if (!pager->GroupCommit([] { return Status::OK(); }).ok()) {
+      state.SkipWithError("group commit");
+    }
+  }
+  state.counters["linger_us"] = benchmark::Counter(
+      static_cast<double>(pager->stats().commit_linger_us),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_PagerGroupCommit)->Unit(benchmark::kMicrosecond);
+
 // CRC32C bytes/s over a buffer whose first `live` percent is random and
 // the rest zero — the shape of a node extent, entries first, zeroed tail.
 void BM_Crc32c(benchmark::State& state) {

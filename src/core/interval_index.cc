@@ -199,18 +199,14 @@ Result<std::unique_ptr<IntervalIndex>> IntervalIndex::OpenWithPager(
 }
 
 Status IntervalIndex::Insert(const Rect& rect, TupleId tid) {
-  Status status;
   if (skeleton_ != nullptr) {
     // The skeleton's sample buffer is plain memory; serialize mutations on
     // it here. Once built, inserts still flow through skeleton_->Insert
     // (it forwards to the tree), so keep the lock unconditionally.
     TrackedMutexLock lock(&skeleton_mu_, LockClass::kSkeleton);
-    status = skeleton_->Insert(rect, tid);
-  } else {
-    status = tree_->Insert(rect, tid);
+    return skeleton_->Insert(rect, tid);
   }
-  if (status.ok()) dirty_.store(true, std::memory_order_relaxed);
-  return status;
+  return tree_->Insert(rect, tid);
 }
 
 Status IntervalIndex::InsertInterval(const Interval& x, Coord y,
@@ -226,12 +222,7 @@ Status IntervalIndex::Search(const Rect& query,
     // effect, producing pages that need a checkpoint; the lock serializes
     // that build against concurrent skeleton mutation.
     TrackedMutexLock lock(&skeleton_mu_, LockClass::kSkeleton);
-    const bool was_building = !skeleton_->built();
-    Status status = skeleton_->Search(query, out, nodes_accessed);
-    if (status.ok() && was_building && skeleton_->built()) {
-      dirty_.store(true, std::memory_order_relaxed);
-    }
-    return status;
+    return skeleton_->Search(query, out, nodes_accessed);
   }
   return tree_->Search(query, out, nodes_accessed);
 }
@@ -297,7 +288,6 @@ Status IntervalIndex::BulkLoad(
     SEGIDX_RETURN_IF_ERROR(
         rtree::BulkLoad(tree_.get(), std::move(records), method));
   }
-  dirty_.store(true, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -306,20 +296,13 @@ Status IntervalIndex::Delete(const Rect& rect, TupleId tid) {
     return FailedPreconditionError(
         "cannot delete while the skeleton sample is buffering");
   }
-  SEGIDX_RETURN_IF_ERROR(tree_->Delete(rect, tid));
-  dirty_.store(true, std::memory_order_relaxed);
-  return Status::OK();
+  return tree_->Delete(rect, tid);
 }
 
 Status IntervalIndex::Finalize() {
   if (skeleton_ == nullptr) return Status::OK();
   TrackedMutexLock lock(&skeleton_mu_, LockClass::kSkeleton);
-  const bool was_building = !skeleton_->built();
-  SEGIDX_RETURN_IF_ERROR(skeleton_->Finalize());
-  if (was_building && skeleton_->built()) {
-    dirty_.store(true, std::memory_order_relaxed);
-  }
-  return Status::OK();
+  return skeleton_->Finalize();
 }
 
 Status IntervalIndex::Commit() {
@@ -344,12 +327,7 @@ Status IntervalIndex::Commit() {
     }
     SEGIDX_RETURN_IF_ERROR(AppendCoreMeta(
         pager_.get(), kind_, skeleton_ == nullptr || skeleton_->built()));
-    SEGIDX_RETURN_IF_ERROR(pager_->Checkpoint());
-    // Clearing the flag here is conservative: a mutation racing this
-    // checkpoint re-raises it after the store, at worst costing one
-    // redundant checkpoint at Close.
-    dirty_.store(false, std::memory_order_relaxed);
-    return Status::OK();
+    return pager_->Checkpoint();
   });
 }
 
@@ -362,8 +340,13 @@ Status IntervalIndex::Close() {
   // final checkpoint queues behind any batch still in flight: every write
   // acknowledged before Close() began is covered either by that batch's
   // checkpoint or by this one. Nothing acknowledged is lost on a clean
-  // shutdown.
-  if (dirty_.load(std::memory_order_relaxed)) status = Flush();
+  // shutdown. The pager, not this facade, says whether anything changed:
+  // writers that go straight to tree() (exec::WritePool, the server's
+  // write dispatcher) change pages without passing through Insert/Delete
+  // here. A buffering skeleton holds its records outside the pager.
+  if (skeleton_building() || pager_->HasUncheckpointedChanges()) {
+    status = Flush();
+  }
   closed_ = true;
   return status;
 }

@@ -28,7 +28,6 @@
 #ifndef SEGIDX_CORE_INTERVAL_INDEX_H_
 #define SEGIDX_CORE_INTERVAL_INDEX_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -276,10 +275,6 @@ class IntervalIndex {
   // Lock order: held while entering the tree's phase gate (a buffered
   // search builds the tree under it), so kSkeleton sits above kPhaseGate.
   common::Mutex skeleton_mu_;
-  // True when mutations have happened since the last successful Commit();
-  // Close() only checkpoints when set. Raised by concurrent writers,
-  // cleared by the group-commit leader.
-  std::atomic<bool> dirty_{false};
   bool closed_ = false;
 };
 

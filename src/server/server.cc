@@ -968,7 +968,8 @@ std::string Server::BuildStatsJson() {
       "\"physical_reads\": %llu, \"physical_writes\": %llu, "
       "\"checkpoints\": %llu, \"journaled_pages\": %llu, "
       "\"journal_bytes\": %llu, \"commit_requests\": %llu, "
-      "\"commit_batches\": %llu, \"degraded\": %llu, "
+      "\"commit_batches\": %llu, \"commit_linger_us\": %llu, "
+      "\"degraded\": %llu, "
       "\"pages_quarantined\": %llu, \"quarantine_hits\": %llu}, "
       "\"latch\": {\"gate_read_enters\": %llu, \"gate_write_enters\": %llu, "
       "\"gate_read_blocked\": %llu, \"gate_write_blocked\": %llu, "
@@ -1005,6 +1006,7 @@ std::string Server::BuildStatsJson() {
       static_cast<unsigned long long>(st.journal_bytes),
       static_cast<unsigned long long>(st.commit_requests),
       static_cast<unsigned long long>(st.commit_batches),
+      static_cast<unsigned long long>(st.commit_linger_us),
       static_cast<unsigned long long>(st.degraded),
       static_cast<unsigned long long>(st.pages_quarantined),
       static_cast<unsigned long long>(st.quarantine_hits),

@@ -1036,6 +1036,10 @@ Status Pager::GroupCommit(const std::function<Status()>& commit_fn) {
   commit_mu_.Lock();
   BumpStat(stats_.commit_requests);
   const uint64_t my_seq = ++commit_seq_;
+  const std::thread::id me = std::this_thread::get_id();
+  const bool peer_before =
+      last_requester_ != std::thread::id() && last_requester_ != me;
+  last_requester_ = me;
   for (;;) {
     if (durable_seq_ >= my_seq) {
       // A batch that started after this request arrived has completed; its
@@ -1049,16 +1053,26 @@ Status Pager::GroupCommit(const std::function<Status()>& commit_fn) {
     commit_cv_.Wait(&commit_mu_);
   }
   committing_ = true;
-  if (options_.group_commit_window_us > 0) {
-    // Linger for the full window so near-simultaneous requesters join this
+  // Linger only on evidence that another thread is committing: it issued
+  // the request before ours, it queued behind ours, or the previous batch
+  // held more than one request. A sole committer has nobody to wait for.
+  const bool peers =
+      peer_before || commit_seq_ > my_seq || last_batch_size_ > 1;
+  if (options_.group_commit_window_us > 0 && peers) {
+    // Linger for the window so near-simultaneous requesters join this
     // batch instead of forcing their own fsync round. Waiting (rather than
     // sleeping unlocked) releases commit_mu_, which joiners need to
     // enqueue; spurious wakeups before the deadline just wait again.
+    const auto start = std::chrono::steady_clock::now();
     const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::microseconds(options_.group_commit_window_us);
+        start + std::chrono::microseconds(options_.group_commit_window_us);
     while (commit_cv_.WaitUntil(&commit_mu_, deadline)) {
     }
+    BumpStat(stats_.commit_linger_us,
+             static_cast<uint64_t>(
+                 std::chrono::duration_cast<std::chrono::microseconds>(
+                     std::chrono::steady_clock::now() - start)
+                     .count()));
   }
   const uint64_t batch_end = commit_seq_;  // Requests this batch covers.
   commit_mu_.Unlock();
@@ -1067,6 +1081,7 @@ Status Pager::GroupCommit(const std::function<Status()>& commit_fn) {
   check::LockdepOnLock(LockClass::kPagerCommit, &commit_mu_);
   commit_mu_.Lock();
   BumpStat(stats_.commit_batches);
+  last_batch_size_ = batch_end - durable_seq_;
   durable_seq_ = batch_end;
   last_commit_status_ = st;
   committing_ = false;
@@ -1074,6 +1089,20 @@ Status Pager::GroupCommit(const std::function<Status()>& commit_fn) {
   check::LockdepOnUnlock(LockClass::kPagerCommit, &commit_mu_);
   commit_cv_.NotifyAll();
   return st;
+}
+
+bool Pager::HasUncheckpointedChanges() const {
+  for (uint32_t p = 0; p < num_partitions_; ++p) {
+    const Partition& part = partitions_[p];
+    TrackedMutexLock lock(&part.mu, LockClass::kPagerPartition);
+    if (!part.dirty.empty()) return true;
+  }
+  TrackedMutexLock lock(&alloc_mu_, LockClass::kPagerAlloc);
+  if (!redirects_.empty()) return true;
+  for (const std::vector<uint32_t>& freed : pending_free_) {
+    if (!freed.empty()) return true;
+  }
+  return false;
 }
 
 Result<std::vector<PageId>> Pager::FreeExtents() const {

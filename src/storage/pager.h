@@ -86,6 +86,7 @@
 #include <list>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -157,6 +158,8 @@ struct StorageStats {
   uint64_t commit_batches = 0;     // Leader executions (fsync rounds); the
                                    // ratio requests/batches is the group
                                    // commit's amortization factor.
+  uint64_t commit_linger_us = 0;   // Time leaders spent lingering for
+                                   // joiners before running commit_fn.
 };
 
 struct PagerOptions {
@@ -170,11 +173,13 @@ struct PagerOptions {
   // keyed by base block. More partitions means less latch contention for
   // concurrent readers; 1 restores exact global LRU. Clamped to [1, 256].
   uint32_t lru_partitions = 8;
-  // GroupCommit(): how long a commit leader lingers (microseconds) for
+  // GroupCommit(): the longest a commit leader lingers (microseconds) for
   // more requesters to join its batch before running the commit function.
-  // 0 commits immediately — concurrent requesters that arrived while a
-  // previous batch was in flight still coalesce; the window only adds
-  // latency to *absorb* near-simultaneous requesters into fewer fsyncs.
+  // A leader lingers only when a peer is committing too (see GroupCommit);
+  // a sole committer never waits. 0 commits immediately — concurrent
+  // requesters that arrived while a previous batch was in flight still
+  // coalesce; the window only adds latency to *absorb* near-simultaneous
+  // requesters into fewer fsyncs.
   uint32_t group_commit_window_us = 200;
 };
 
@@ -322,9 +327,18 @@ class Pager {
   // completed — i.e. a leader ran commit_fn after this call arrived — with
   // that batch's status. Requests that arrive while a batch is in flight
   // wait for the next batch; the leader of a batch holds no pager locks
-  // while commit_fn runs. `PagerOptions::group_commit_window_us` bounds
-  // how long a leader waits for joiners before committing.
+  // while commit_fn runs. A leader lingers for joiners, at most
+  // `PagerOptions::group_commit_window_us`, only on evidence that another
+  // thread is committing: the request before its own came from another
+  // thread, a request is queued behind its own, or the previous batch
+  // covered more than one request. Otherwise it runs commit_fn at once,
+  // so a sole committer pays no linger.
   Status GroupCommit(const std::function<Status()>& commit_fn);
+
+  // True when anything since the last durable checkpoint would be lost
+  // without another: dirty pooled pages, spilled pages or frees of this
+  // epoch. Requires mutation quiescence, like Checkpoint().
+  bool HasUncheckpointedChanges() const;
 
   // Tree-private metadata persisted in the superblock at Checkpoint().
   const std::vector<uint8_t>& user_meta() const { return user_meta_; }
@@ -577,6 +591,10 @@ class Pager {
   uint64_t durable_seq_ GUARDED_BY(commit_mu_) = 0;
   // A leader is running commit_fn.
   bool committing_ GUARDED_BY(commit_mu_) = false;
+  // Thread that issued the newest request, and how many requests the
+  // newest finished batch covered: the leader's evidence of peers.
+  std::thread::id last_requester_ GUARDED_BY(commit_mu_);
+  uint64_t last_batch_size_ GUARDED_BY(commit_mu_) = 0;
   // Result of the newest finished batch.
   Status last_commit_status_ GUARDED_BY(commit_mu_);
 };

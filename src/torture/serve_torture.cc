@@ -8,6 +8,7 @@
 #include <memory>
 #include <set>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "common/random.h"
@@ -22,6 +23,11 @@ namespace segidx::torture {
 namespace {
 
 constexpr const char* kHost = "127.0.0.1";
+
+using Clock = std::chrono::steady_clock;
+// A time that never comes: the ack of an op never acked, the delete of a
+// tid never deleted.
+constexpr Clock::time_point kNever = Clock::time_point::max();
 
 // Deterministic geometry: insert and delete must present the identical
 // rect for a tid, and verification must not depend on thread interleaving.
@@ -49,15 +55,58 @@ bool RetryableCode(StatusCode code) {
   }
 }
 
+// One exactly-once mutation as the client saw it. `issued` is read before
+// the first attempt is sent and `acked` after the OK verdict returns, so
+// the true issue and ack instants lie inside [issued, acked].
+struct WriteEvent {
+  TupleId tid = 0;
+  bool is_delete = false;
+  Clock::time_point issued;
+  Clock::time_point acked = kNever;
+};
+
+// One complete (non-partial) search as its client saw it: issued before
+// the request was sent, answered after the reply arrived.
+struct SearchEvent {
+  Rect window;
+  Clock::time_point issued;
+  Clock::time_point answered;
+  std::vector<TupleId> tids;  // Sorted, distinct.
+};
+
+// One thread's searches. Threads never share logs, so no locking.
+using SearchLog = std::vector<SearchEvent>;
+
 // One writer thread's oracle. Threads never share logs, so no locking.
 struct WriterLog {
   std::set<TupleId> acked_live;     // Insert acked, no delete issued since.
   std::set<TupleId> acked_deleted;  // Delete acked: must be absent.
   std::set<TupleId> unresolved;     // Gave up mid-retry: present 0 or 1 time.
+  std::vector<WriteEvent> history;  // Every op, in issue order.
+  SearchLog probes;                 // Read-your-writes searches.
   uint64_t reconnects = 0;
   uint64_t retries = 0;
   std::vector<std::string> errors;  // Hard (non-retryable) verdicts.
 };
+
+// Searches `window` and, when the answer is complete, logs it for the
+// bracket check.
+void SearchAndLog(server::RetryingClient* client, const Rect& window,
+                  SearchLog* log) {
+  server::SearchReply reply;
+  const Clock::time_point issued = Clock::now();
+  const Status st = client->Search(window, &reply, /*budget_us=*/5000,
+                                   /*allow_partial=*/true);
+  const Clock::time_point answered = Clock::now();
+  if (!st.ok() || reply.partial) return;
+  SearchEvent event{window, issued, answered, {}};
+  event.tids.reserve(reply.hits.size());
+  for (const rtree::SearchHit& hit : reply.hits) event.tids.push_back(hit.tid);
+  std::sort(event.tids.begin(), event.tids.end());
+  event.tids.erase(std::unique(event.tids.begin(), event.tids.end()),
+                   event.tids.end());
+  log->push_back(std::move(event));
+}
 
 struct ServingStack {
   storage::MemoryBlockDevice* memory = nullptr;          // Borrowed.
@@ -136,7 +185,10 @@ void WriterThread(const ServeTortureOptions& options, uint16_t port,
                            0, static_cast<int64_t>(log->acked_live.size()) -
                                   1)));
       const TupleId victim = *it;
+      const Clock::time_point issued = Clock::now();
       const Status st = client.Delete(RectFor(victim), victim);
+      log->history.push_back({victim, /*is_delete=*/true, issued,
+                              st.ok() ? Clock::now() : kNever});
       log->acked_live.erase(victim);
       if (st.ok()) {
         log->acked_deleted.insert(victim);
@@ -148,9 +200,15 @@ void WriterThread(const ServeTortureOptions& options, uint16_t port,
       }
     } else {
       const TupleId tid = next_tid++;
+      const Clock::time_point issued = Clock::now();
       const Status st = client.Insert(RectFor(tid), tid);
+      log->history.push_back({tid, /*is_delete=*/false, issued,
+                              st.ok() ? Clock::now() : kNever});
       if (st.ok()) {
         log->acked_live.insert(tid);
+        // Read-your-writes probe: issued right after the ack, so an ack
+        // sent before the insert is visible shows up here.
+        SearchAndLog(&client, RectFor(tid), &log->probes);
       } else if (RetryableCode(st.code())) {
         log->unresolved.insert(tid);
       } else {
@@ -171,7 +229,8 @@ void WriterThread(const ServeTortureOptions& options, uint16_t port,
 }
 
 void ReaderThread(const ServeTortureOptions& options, uint16_t port,
-                  int round, int reader, const std::atomic<bool>* stop) {
+                  int round, int reader, const std::atomic<bool>* stop,
+                  SearchLog* log) {
   server::RetryPolicy policy;
   policy.max_attempts = 3;  // Searches are disposable; fail fast and loop.
   policy.total_deadline_ms = 2000;
@@ -180,18 +239,95 @@ void ReaderThread(const ServeTortureOptions& options, uint16_t port,
       static_cast<uint64_t>(round + 1) * 1000 + 500 + reader;
   server::RetryingClient client(kHost, port, session_id, policy);
   Rng rng(policy.seed + 17);
-  while (!stop->load(std::memory_order_relaxed)) {
+  for (uint64_t n = 0; !stop->load(std::memory_order_relaxed); ++n) {
+    // Every other search spans the whole domain, so the bracket check sees
+    // every write; the others probe small windows.
     const double x = rng.NextDouble() * 900.0;
     const double y = rng.NextDouble() * 900.0;
-    server::SearchReply reply;
-    (void)client.Search(Rect(x, x + 50, y, y + 50), &reply,
-                        /*budget_us=*/5000, /*allow_partial=*/true);
+    SearchAndLog(&client,
+                 n % 2 == 0 ? Everywhere() : Rect(x, x + 50, y, y + 50), log);
     std::this_thread::sleep_for(std::chrono::microseconds(500));
   }
 }
 
 std::string Describe(int round, const std::string& what) {
   return "round " + std::to_string(round) + ": " + what;
+}
+
+// What the writers did to one tid, merged from their histories.
+struct TidHistory {
+  Clock::time_point insert_issued = kNever;
+  Clock::time_point insert_acked = kNever;
+  Clock::time_point delete_issued = kNever;
+  Clock::time_point delete_acked = kNever;
+};
+
+// The history bracket check: every complete search must (1) contain every
+// insert inside its window that was acked before the search was issued,
+// unless a delete of it was issued before the search was answered; (2)
+// contain no tid whose delete was acked before the search was issued; and
+// (3) contain only tids whose insert was issued before it was answered.
+// Every bound compares client-side readings that bracket the true instants
+// (see WriteEvent, SearchEvent), so a violation is never a timing artifact.
+// Returns one message per violation.
+std::vector<std::string> CheckBrackets(const std::vector<WriterLog>& writers,
+                                       const std::vector<SearchLog>& readers,
+                                       Clock::time_point round_start,
+                                       uint64_t* searches_checked) {
+  std::unordered_map<TupleId, TidHistory> tids;
+  for (const WriterLog& log : writers) {
+    for (const WriteEvent& e : log.history) {
+      TidHistory& h = tids[e.tid];
+      if (e.is_delete) {
+        h.delete_issued = e.issued;
+        h.delete_acked = e.acked;
+      } else {
+        h.insert_issued = e.issued;
+        h.insert_acked = e.acked;
+      }
+    }
+  }
+  const auto at = [&](Clock::time_point t) {
+    return "+" +
+           std::to_string(std::chrono::duration_cast<std::chrono::microseconds>(
+                              t - round_start)
+                              .count()) +
+           "us";
+  };
+  std::vector<const SearchLog*> logs;
+  for (const WriterLog& log : writers) logs.push_back(&log.probes);
+  for (const SearchLog& log : readers) logs.push_back(&log);
+  std::vector<std::string> out;
+  for (const SearchLog* log : logs) {
+    for (const SearchEvent& s : *log) {
+      ++*searches_checked;
+      const std::string search = "search issued " + at(s.issued) +
+                                 ", answered " + at(s.answered);
+      for (const auto& [tid, h] : tids) {
+        if (h.insert_acked < s.issued && h.delete_issued >= s.answered &&
+            RectFor(tid).Intersects(s.window) &&
+            !std::binary_search(s.tids.begin(), s.tids.end(), tid)) {
+          out.push_back("STALE: " + search + " misses tid " +
+                        std::to_string(tid) + " acked " +
+                        at(h.insert_acked));
+        }
+      }
+      for (TupleId tid : s.tids) {
+        auto it = tids.find(tid);
+        if (it == tids.end() || it->second.insert_issued >= s.answered) {
+          out.push_back("FUTURE: " + search + " returns tid " +
+                        std::to_string(tid) + " issued " +
+                        (it == tids.end() ? std::string("never")
+                                          : at(it->second.insert_issued)));
+        } else if (it->second.delete_acked < s.issued) {
+          out.push_back("RESURRECTED: " + search + " returns tid " +
+                        std::to_string(tid) + " whose delete was acked " +
+                        at(it->second.delete_acked));
+        }
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -231,6 +367,8 @@ Result<ServeTortureReport> RunServeTorture(
     server::transport::InstallFaultPlan(plan);
 
     std::vector<WriterLog> logs(options.writers);
+    std::vector<SearchLog> reader_logs(options.readers);
+    const Clock::time_point round_start = Clock::now();
     std::atomic<bool> readers_stop{false};
     std::vector<std::thread> threads;
     threads.reserve(options.writers + options.readers);
@@ -242,7 +380,7 @@ Result<ServeTortureReport> RunServeTorture(
     readers.reserve(options.readers);
     for (int r = 0; r < options.readers; ++r) {
       readers.emplace_back(ReaderThread, std::cref(options), port, round, r,
-                           &readers_stop);
+                           &readers_stop, &reader_logs[r]);
     }
 
     // Crash controller: freeze the device mid-traffic, crash the server,
@@ -321,6 +459,17 @@ Result<ServeTortureReport> RunServeTorture(
       for (const std::string& err : log.errors) {
         report.failures.push_back(Describe(round, "hard client error: " + err));
       }
+    }
+
+    const std::vector<std::string> bracket = CheckBrackets(
+        logs, reader_logs, round_start, &report.searches_checked);
+    for (size_t i = 0; i < bracket.size() && i < 8; ++i) {
+      report.failures.push_back(Describe(round, bracket[i]));
+    }
+    if (bracket.size() > 8) {
+      report.failures.push_back(Describe(
+          round, "... " + std::to_string(bracket.size() - 8) +
+                     " more bracket violations"));
     }
 
     if (stack->index == nullptr) {

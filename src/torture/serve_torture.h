@@ -27,6 +27,17 @@
 //   * every acked delete is absent;
 //   * an unresolved op appears at most once (never duplicated).
 //
+// While the round runs, writers stamp each op's issue and ack times and
+// search each acked insert's rectangle right away (read-your-writes);
+// they and the readers keep every complete search's window, tids and
+// issue/response times. After the round a history bracket check holds
+// each search to the writes around it: it contains every insert in its
+// window acked before it was issued (unless a delete of it was issued
+// before the response), no tid whose delete was acked before it was
+// issued, and only tids whose insert was issued before the response
+// arrived. This catches stale or early visibility that the final-state
+// oracle cannot see.
+//
 // The workload is seed-deterministic per thread; the interleaving is not,
 // so the oracle is per-op bookkeeping rather than a replayable trace.
 // Skeleton kinds are rejected: their build-phase buffer keeps acked
@@ -95,6 +106,7 @@ struct ServeTortureReport {
   uint64_t acked_deletes = 0;
   uint64_t unresolved_ops = 0;    // Retry budget exhausted; outcome unknown.
   uint64_t dedup_hits = 0;        // Server-side replays (from final stats).
+  uint64_t searches_checked = 0;  // Complete searches the bracket check ran.
   // One message per violated invariant (empty means the torture passed).
   std::vector<std::string> failures;
 

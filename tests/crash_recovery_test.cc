@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "core/interval_index.h"
+#include "exec/write_pool.h"
 #include "storage/block_device.h"
 #include "storage/coding.h"
 #include "storage/fault_injection.h"
@@ -455,6 +456,59 @@ TEST(CloseTest, CloseDrainsGroupCommitQueueFromConcurrentWriters) {
   ASSERT_TRUE(
       (*reopened)->SearchTuples(Rect(-1e9, 1e9, -1e9, 1e9), &tids).ok());
   EXPECT_EQ(tids.size(), static_cast<size_t>(kWriters * kPerWriter));
+}
+
+// Writers that go straight to the tree (exec::WritePool, the server's write
+// dispatcher) bypass IntervalIndex::Insert; Close() must still checkpoint
+// what they wrote.
+std::vector<exec::WriteOp> PoolOps(TupleId first, int count) {
+  std::vector<exec::WriteOp> ops;
+  for (int i = 0; i < count; ++i) {
+    const double x = static_cast<double>(i) * 3.0;
+    ops.push_back({Rect(x, x + 2, 0, 1), first + static_cast<TupleId>(i)});
+  }
+  return ops;
+}
+
+uint64_t ReopenedSize(const MemoryBlockDevice& raw) {
+  auto reopened = IntervalIndex::OpenFromDevice(
+      std::make_unique<MemoryBlockDevice>(raw.Snapshot()), IndexOptions());
+  EXPECT_TRUE(reopened.ok()) << reopened.status().ToString();
+  return reopened.ok() ? (*reopened)->size() : 0;
+}
+
+TEST(CloseTest, CloseCheckpointsWritesMadeThroughTheTree) {
+  auto device = std::make_unique<MemoryBlockDevice>();
+  MemoryBlockDevice* raw = device.get();
+  auto index = IntervalIndex::CreateWithDevice(IndexKind::kRTree,
+                                               std::move(device),
+                                               IndexOptions())
+                   .value();
+  {
+    exec::WritePool pool(index->tree(), nullptr, exec::WritePoolOptions());
+    ASSERT_TRUE(pool.ApplyBatch(PoolOps(1, 100)).ok());
+  }
+  ASSERT_TRUE(index->Close().ok());
+  EXPECT_EQ(ReopenedSize(*raw), 100u);
+}
+
+TEST(CloseTest, CloseCheckpointsTreeWritesAfterAnEarlierCommit) {
+  auto device = std::make_unique<MemoryBlockDevice>();
+  MemoryBlockDevice* raw = device.get();
+  auto index = IntervalIndex::CreateWithDevice(IndexKind::kRTree,
+                                               std::move(device),
+                                               IndexOptions())
+                   .value();
+  for (TupleId tid = 1; tid <= 10; ++tid) {
+    ASSERT_TRUE(index->Insert(Rect(0, 1, 5, 6), tid).ok());
+  }
+  ASSERT_TRUE(index->Commit().ok());
+  {
+    exec::WritePool pool(index->tree(), nullptr, exec::WritePoolOptions());
+    ASSERT_TRUE(pool.ApplyBatch(PoolOps(11, 100)).ok());
+  }
+  ASSERT_TRUE(index->Close().ok());
+  EXPECT_EQ(ReopenedSize(*raw), 110u);
 }
 
 // --- Torture sweep ----------------------------------------------------------

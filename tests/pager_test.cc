@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -544,6 +545,73 @@ TEST(PagerTest, ConcurrentGroupCommitsCoalesceIntoBatches) {
   EXPECT_LE(stats.commit_batches, stats.commit_requests);
   // With 8 threads hammering a 2ms window, amortization must be visible.
   EXPECT_LT(stats.commit_batches, stats.commit_requests);
+}
+
+TEST(PagerTest, SoleCommitterNeverLingers) {
+  PagerOptions options;
+  options.group_commit_window_us = 1000000;  // One second per linger.
+  auto pager = MakeMemoryPager(options);
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(pager->GroupCommit([] { return Status::OK(); }).ok());
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  // Nobody else commits, so no leader waits: 50 calls take far less than
+  // one window.
+  EXPECT_LT(elapsed, std::chrono::milliseconds(250));
+  const StorageStats& stats = pager->stats();
+  EXPECT_EQ(stats.commit_requests, 50u);
+  EXPECT_EQ(stats.commit_batches, 50u);
+  EXPECT_EQ(stats.commit_linger_us, 0u);
+}
+
+TEST(PagerTest, AlternatingCommittersStillCoalesce) {
+  PagerOptions options;
+  options.group_commit_window_us = 5000;
+  auto pager = MakeMemoryPager(options);
+  constexpr int kCommitsPerThread = 20;
+  // Each thread keeps committing until both have made kCommitsPerThread
+  // requests, so their requests interleave however the two are scheduled.
+  std::atomic<int> made[2] = {0, 0};
+  std::atomic<bool> failed{false};
+  auto committer = [&](int me) {
+    while (made[me].load() < kCommitsPerThread ||
+           made[1 - me].load() < kCommitsPerThread) {
+      if (!pager->GroupCommit([] { return Status::OK(); }).ok()) {
+        failed.store(true);
+      }
+      made[me].fetch_add(1);
+    }
+  };
+  std::thread a(committer, 0);
+  std::thread b(committer, 1);
+  a.join();
+  b.join();
+  EXPECT_FALSE(failed.load());
+  const StorageStats& stats = pager->stats();
+  EXPECT_EQ(stats.commit_requests,
+            static_cast<uint64_t>(made[0].load() + made[1].load()));
+  // A request that follows the other thread's lingers for it.
+  EXPECT_LT(stats.commit_batches, stats.commit_requests);
+  EXPECT_GT(stats.commit_linger_us, 0u);
+}
+
+TEST(PagerTest, UncheckpointedChangesTrackDirtyPagesAndFrees) {
+  auto pager = MakeMemoryPager(PagerOptions());
+  EXPECT_FALSE(pager->HasUncheckpointedChanges());
+  PageId id;
+  {
+    auto page = pager->Allocate(0);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    id = page->id();
+  }
+  EXPECT_TRUE(pager->HasUncheckpointedChanges());
+  ASSERT_TRUE(pager->Checkpoint().ok());
+  EXPECT_FALSE(pager->HasUncheckpointedChanges());
+  ASSERT_TRUE(pager->Free(id).ok());
+  EXPECT_TRUE(pager->HasUncheckpointedChanges());
+  ASSERT_TRUE(pager->Checkpoint().ok());
+  EXPECT_FALSE(pager->HasUncheckpointedChanges());
 }
 
 // --- dirty-set bookkeeping -------------------------------------------------

@@ -117,6 +117,36 @@ TEST(ServerTest, StatsReportJournaledPages) {
   server.Stop();
 }
 
+// The write dispatcher is the server's only committer, so its group-commit
+// leaders have no peer to wait for: inserts and commits from a connection
+// are acknowledged without lingering the default window.
+TEST(ServerTest, SoleDispatcherAcksWithoutLinger) {
+  auto index = MakeIndex();
+  ASSERT_GT(storage::PagerOptions().group_commit_window_us, 0u);
+  Server server(index.get(), ServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  for (TupleId tid = 1; tid <= 40; ++tid) {
+    const double x = static_cast<double>(tid) * 10.0;
+    ASSERT_TRUE((*client)->Insert(Rect(x, x + 5, 1, 2), tid).ok());
+    if (tid % 8 == 0) {
+      ASSERT_TRUE((*client)->Commit().ok());
+    }
+  }
+
+  auto stats = (*client)->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const std::string key = "\"commit_linger_us\": ";
+  const size_t at = stats->find(key);
+  ASSERT_NE(at, std::string::npos) << *stats;
+  EXPECT_EQ(std::strtoull(stats->c_str() + at + key.size(), nullptr, 10),
+            0u);
+  EXPECT_GE(index->storage_stats().commit_requests, 45u);
+  EXPECT_EQ(index->storage_stats().commit_linger_us, 0u);
+  server.Stop();
+}
+
 // The headline guarantee: N insert clients and M search clients hammering
 // the server concurrently, then every query answered over the settled
 // index matches a serial oracle exactly.

@@ -497,6 +497,11 @@ int CmdStats(const Args& args, const std::string& file) {
               static_cast<unsigned long long>(storage.checkpoints),
               static_cast<unsigned long long>(storage.journaled_pages),
               static_cast<unsigned long long>(storage.journal_bytes));
+  std::printf("commit:         %llu requests, %llu batches, %llu us "
+              "lingering\n",
+              static_cast<unsigned long long>(storage.commit_requests),
+              static_cast<unsigned long long>(storage.commit_batches),
+              static_cast<unsigned long long>(storage.commit_linger_us));
   return 0;
 }
 
@@ -1198,7 +1203,8 @@ int CmdServeTorture(const Args& args) {
   std::printf(
       "ran %llu rounds, %llu server crashes; clients: %llu reconnects, "
       "%llu retries over %llu injected transport faults; acked %llu "
-      "inserts + %llu deletes (%llu in doubt), %llu dedup replays\n",
+      "inserts + %llu deletes (%llu in doubt), %llu dedup replays; "
+      "%llu searches bracket-checked\n",
       static_cast<unsigned long long>(report->rounds_run),
       static_cast<unsigned long long>(report->server_crashes),
       static_cast<unsigned long long>(report->client_reconnects),
@@ -1207,18 +1213,19 @@ int CmdServeTorture(const Args& args) {
       static_cast<unsigned long long>(report->acked_inserts),
       static_cast<unsigned long long>(report->acked_deletes),
       static_cast<unsigned long long>(report->unresolved_ops),
-      static_cast<unsigned long long>(report->dedup_hits));
+      static_cast<unsigned long long>(report->dedup_hits),
+      static_cast<unsigned long long>(report->searches_checked));
   if (!report->ok()) {
     for (const std::string& failure : report->failures) {
       std::fprintf(stderr, "FAIL %s\n", failure.c_str());
     }
-    std::fprintf(stderr, "%zu exactly-once violations\n",
+    std::fprintf(stderr, "%zu exactly-once or history violations\n",
                  report->failures.size());
     return 1;
   }
   std::printf(
       "every acked write survived exactly once; no losses, duplicates, or "
-      "resurrections\n");
+      "resurrections; every search saw what was acked before it\n");
   return 0;
 }
 
